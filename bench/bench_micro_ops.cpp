@@ -1,10 +1,11 @@
 // Micro-operation benchmarks (google-benchmark): the primitive costs the
 // system-level numbers decompose into — id hashing, ring math, routing
-// table lookups, AAL handler calls, SQL parsing.
+// table lookups, AAL handler calls, SQL parsing, subscription upkeep.
 
 #include <benchmark/benchmark.h>
 
 #include "aal/script.hpp"
+#include "bench_common.hpp"
 #include "pastry/overlay.hpp"
 #include "query/sql.hpp"
 #include "util/rng.hpp"
@@ -100,6 +101,18 @@ void BM_PredicateMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredicateMatch);
+
+// One node's periodic membership check when nothing changed: what every
+// monitor tick costs every node.  The federation carries the 25 trees of
+// the end-to-end benchmark (23 instance types, CPU_utilization<0.1, GPU).
+void BM_ReevaluateSubscriptions(benchmark::State& state) {
+  static bench::EvalFederation* federation = new bench::EvalFederation(8, 1);
+  auto& node = federation->cluster.node(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(node.reevaluate_subscriptions());
+  }
+}
+BENCHMARK(BM_ReevaluateSubscriptions);
 
 }  // namespace
 

@@ -13,6 +13,8 @@ Script::Script(std::shared_ptr<const Chunk> chunk, SandboxLimits limits)
   globals_ = interp_.make_globals();
 }
 
+Script::~Script() { globals_->vars.clear(); }
+
 util::Result<std::shared_ptr<Script>> Script::instantiate(std::shared_ptr<const Chunk> chunk,
                                                           SandboxLimits limits) {
   RBAY_REQUIRE(chunk != nullptr, "Script::instantiate: chunk required");

@@ -43,6 +43,13 @@ class Chunk {
 
 class Script {
  public:
+  /// Clears the globals: handlers close over the environment that holds
+  /// them, and without a collector that cycle would pin it forever.
+  ~Script();
+
+  Script(const Script&) = delete;
+  Script& operator=(const Script&) = delete;
+
   /// Parses `source` and executes the top-level chunk under `limits`.
   static util::Result<std::shared_ptr<Script>> load(const std::string& source,
                                                     SandboxLimits limits = {});

@@ -61,7 +61,7 @@ pastry::NodeId key_id(const std::string& text_key) {
 
 PastDhtNode::PastDhtNode(pastry::PastryNode& node, PastDhtConfig config)
     : node_(node), config_(config) {
-  node_.register_app(kAppName, this);
+  node_.register_app(kAppName.name(), this);
 }
 
 void PastDhtNode::store_local(const pastry::NodeId& key, const std::string& text_key,

@@ -51,7 +51,7 @@ class PastDhtNode final : public pastry::PastryApp {
   void deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int hops) override;
   void receive(const pastry::NodeRef& from, pastry::AppMessage& msg) override;
 
-  static constexpr const char* kAppName = "past";
+  static inline const pastry::AppId kAppName{"past"};
 
  private:
   void store_local(const pastry::NodeId& key, const std::string& text_key,

@@ -6,8 +6,8 @@ RBayCluster::RBayCluster(ClusterConfig config)
     : config_(std::move(config)),
       engine_(config_.seed, config_.engine),
       overlay_(engine_, config_.topology, config_.pastry),
-      tree_specs_(std::make_shared<std::vector<TreeSpec>>()),
-      taxonomy_(std::make_shared<Taxonomy>()) {
+      taxonomy_(std::make_shared<Taxonomy>()),
+      directory_(std::make_shared<Directory>()) {
   // Attach before any node exists so every component sees the registry
   // from its first event (the overlay constructor only builds the network,
   // which refreshes its metric handles lazily).
@@ -60,7 +60,7 @@ void RBayCluster::populate(std::size_t per_site) {
 
 void RBayCluster::add_tree_spec(TreeSpec spec) {
   RBAY_REQUIRE(!finalized_, "add_tree_spec after finalize");
-  tree_specs_->push_back(std::move(spec));
+  directory_->tree_specs.push_back(std::move(spec));
 }
 
 void RBayCluster::set_taxonomy(Taxonomy taxonomy) {
@@ -84,17 +84,15 @@ void RBayCluster::finalize() {
   overlay_.build_static();
 
   // Designate the first node of each site as its gateway ("border router").
-  auto directory = std::make_shared<Directory>();
   for (net::SiteId s = 0; s < config_.topology.site_count(); ++s) {
-    directory->site_names.push_back(config_.topology.site(s).name);
+    directory_->site_names.push_back(config_.topology.site(s).name);
     const auto members = nodes_in_site(s);
     RBAY_REQUIRE(!members.empty(), "every site needs at least one node");
-    directory->gateways.push_back(nodes_[members.front()]->self());
+    directory_->gateways.push_back(nodes_[members.front()]->self());
   }
-  directory_ = std::move(directory);
+  directory_->intern_trees();
 
   for (auto& node : nodes_) {
-    node->set_tree_specs(tree_specs_);
     node->set_taxonomy(taxonomy_);
     node->set_directory(directory_);
   }

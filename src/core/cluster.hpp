@@ -67,10 +67,14 @@ class RBayCluster {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] pastry::Overlay& overlay() { return overlay_; }
   [[nodiscard]] net::Network& network() { return overlay_.network(); }
+  /// Site names and gateways are filled, and tree names interned, by
+  /// finalize(); before it the directory only collects tree specs.
   [[nodiscard]] const Directory& directory() const { return *directory_; }
   /// The observability registry, or nullptr when config.metrics is false.
   [[nodiscard]] obs::Registry* metrics() { return metrics_.get(); }
-  [[nodiscard]] const std::vector<TreeSpec>& tree_specs() const { return *tree_specs_; }
+  [[nodiscard]] const std::vector<TreeSpec>& tree_specs() const {
+    return directory_->tree_specs;
+  }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
   [[nodiscard]] std::vector<std::size_t> nodes_in_site(net::SiteId site) const;
@@ -109,7 +113,6 @@ class RBayCluster {
   std::unique_ptr<obs::Registry> metrics_;
   pastry::Overlay overlay_;
   std::vector<std::unique_ptr<RBayNode>> nodes_;
-  std::shared_ptr<std::vector<TreeSpec>> tree_specs_;
   std::shared_ptr<Taxonomy> taxonomy_;
   std::shared_ptr<Directory> directory_;
   std::unique_ptr<HealthPublisher> health_;  // after nodes_: stops first

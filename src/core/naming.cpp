@@ -28,6 +28,18 @@ bool Taxonomy::link(const std::string& attribute, const std::string& parent) {
   return true;
 }
 
+void Directory::intern_trees() {
+  topics_.clear();
+  topics_.reserve(site_names.size() * tree_specs.size());
+  for (const auto& site_name : site_names) {
+    for (const auto& spec : tree_specs) topics_.push_back(site_topic(spec.canonical, site_name));
+  }
+  spec_by_canonical_.clear();
+  for (std::size_t i = 0; i < tree_specs.size(); ++i) {
+    spec_by_canonical_.emplace(tree_specs[i].canonical, i);  // first registration wins
+  }
+}
+
 std::optional<std::string> Taxonomy::major_of(const std::string& attribute) const {
   std::string at = attribute;
   int steps = 0;

@@ -6,6 +6,9 @@
 // A tree exists per (canonical predicate, site): the TreeId is
 // SHA-1("<canonical>@<site>" ‖ creator), so tree roots distribute uniformly
 // and administrative isolation keeps each site's trees inside that site.
+// Like the paper's TreeId, the name is computed once: the Directory interns
+// one TreeId per (registered spec, site) at finalize, and the subscription,
+// query, and admin paths index that table by spec.
 //
 // The hybrid scheme avoids one tree per property: only *major* predicates
 // get trees; minor properties (model, core size, ...) carry a link to the
@@ -16,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pastry/node_id.hpp"
@@ -84,11 +88,13 @@ class Taxonomy {
 };
 
 /// Everything a node needs to reach the rest of the federation: site names
-/// (index = SiteId) and the designated gateway ("border router", §III.E)
-/// of each site.
+/// (index = SiteId), the designated gateway ("border router", §III.E) of
+/// each site, and the registered aggregation trees with their TreeIds.
+/// RBayCluster::finalize() builds it once; every node shares it read-only.
 struct Directory {
   std::vector<std::string> site_names;
   std::vector<pastry::NodeRef> gateways;
+  std::vector<TreeSpec> tree_specs;
 
   [[nodiscard]] std::optional<net::SiteId> site_by_name(const std::string& name) const {
     for (std::size_t i = 0; i < site_names.size(); ++i) {
@@ -96,6 +102,27 @@ struct Directory {
     }
     return std::nullopt;
   }
+
+  /// Names every tree once — site_topic(canonical, site name) for each
+  /// spec and site — so no later lookup hashes.  Call after site_names and
+  /// tree_specs are final.
+  void intern_trees();
+
+  /// TreeId of tree_specs[spec] in `site` (requires intern_trees()).
+  [[nodiscard]] const scribe::TopicId& topic(std::size_t spec, net::SiteId site) const {
+    return topics_[site * tree_specs.size() + spec];
+  }
+
+  /// Index of the first spec registered under `canonical`, if any.
+  [[nodiscard]] std::optional<std::size_t> spec_index(const std::string& canonical) const {
+    const auto it = spec_by_canonical_.find(canonical);
+    if (it == spec_by_canonical_.end()) return std::nullopt;
+    return it->second;
+  }
+
+ private:
+  std::vector<scribe::TopicId> topics_;  // [site * tree_specs.size() + spec]
+  std::unordered_map<std::string, std::size_t> spec_by_canonical_;
 };
 
 }  // namespace rbay::core

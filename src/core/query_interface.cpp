@@ -23,7 +23,7 @@ QueryInterface::QueryInterface(RBayNode& owner, QueryConfig config)
     : owner_(owner), config_(config),
       admission_(config.qplane.admission_window, config.qplane.admission_queue),
       answer_cache_(config.qplane.cache_ttl) {
-  owner_.pastry().register_app(kAppName, this);
+  owner_.pastry().register_app(kAppName.name(), this);
   // A satisfied anycast result that raced the timeout retry carries
   // member-side reservations nobody will ever commit or release; free them
   // the moment the orphaned payload surfaces (see Scribe::complete_anycast).
@@ -376,55 +376,36 @@ void QueryInterface::finish_attempt(std::uint64_t id) {
 
 // --- site-local execution (five steps of Fig. 7) ---------------------------------
 
-std::vector<std::optional<std::string>> QueryInterface::tree_canonicals(
+std::vector<std::size_t> QueryInterface::tree_indices(
     const std::vector<query::Predicate>& predicates) const {
-  std::vector<std::optional<std::string>> out;
-  const auto& specs = owner_.tree_specs();
-  auto has_spec = [&](const std::string& canonical) {
-    return std::any_of(specs.begin(), specs.end(),
-                       [&](const TreeSpec& s) { return s.canonical == canonical; });
-  };
+  std::vector<std::size_t> out;
+  const auto* dir = owner_.directory();
+  if (dir == nullptr) return out;
   for (const auto& pred : predicates) {
-    const auto canonical = pred.canonical();
-    if (has_spec(canonical)) {
-      out.emplace_back(canonical);
-      continue;
-    }
+    auto index = dir->spec_index(pred.canonical());
     // Hybrid naming: resolve a minor attribute to its major's existence
     // tree ("link this new attribute to certain major tree", §III.C).
-    if (const auto* taxonomy = owner_.taxonomy()) {
-      if (auto major = taxonomy->major_of(pred.attribute)) {
-        const auto existence = "has:" + *major;
-        if (has_spec(existence)) {
-          out.emplace_back(existence);
-          continue;
+    if (!index) {
+      if (const auto* taxonomy = owner_.taxonomy()) {
+        if (auto major = taxonomy->major_of(pred.attribute)) {
+          index = dir->spec_index("has:" + *major);
         }
       }
     }
-    out.emplace_back(std::nullopt);
+    if (index && std::find(out.begin(), out.end(), *index) == out.end()) out.push_back(*index);
   }
   return out;
 }
 
 void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)> done) {
-  const auto canonicals = tree_canonicals(job.predicates);
-  std::vector<std::string> trees;
-  for (const auto& c : canonicals) {
-    if (c && std::find(trees.begin(), trees.end(), *c) == trees.end()) trees.push_back(*c);
-  }
+  const auto trees = tree_indices(job.predicates);
   if (trees.empty()) {
     done({});
     return;
   }
 
-  const std::string site_name =
-      owner_.directory() && owner_.site() < owner_.directory()->site_names.size()
-          ? owner_.directory()->site_names[owner_.site()]
-          : "site" + std::to_string(owner_.site());
-
   struct ProbeState {
     SiteJob job;
-    std::vector<std::string> trees;
     std::vector<scribe::TopicId> topics;
     std::vector<double> sizes;
     std::size_t remaining = 0;
@@ -439,12 +420,13 @@ void QueryInterface::run_site_query(SiteJob job, std::function<void(SiteResult)>
   };
   auto state = std::make_shared<ProbeState>();
   state->job = std::move(job);
-  state->trees = trees;
   state->done = std::move(done);
   state->sizes.assign(trees.size(), 0.0);
   state->remaining = trees.size();
   state->probe_start = owner_.engine().now();
-  for (const auto& tree : trees) state->topics.push_back(site_topic(tree, site_name));
+  for (const auto tree : trees) {
+    state->topics.push_back(owner_.directory()->topic(tree, owner_.site()));
+  }
 
   auto anycast_smallest = [this, state]() {
     const auto probe_end = owner_.engine().now();

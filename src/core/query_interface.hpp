@@ -93,7 +93,7 @@ class QueryInterface final : public pastry::PastryApp {
   void deliver(const pastry::NodeId& key, pastry::AppMessage& msg, int hops) override;
   void receive(const pastry::NodeRef& from, pastry::AppMessage& msg) override;
 
-  static constexpr const char* kAppName = "rbay.query";
+  static inline const pastry::AppId kAppName{"rbay.query"};
 
   /// Health introspection (rbay.health.* publication, docs/HEALTH.md):
   /// admission window state and answer-cache hit counters, read-only.
@@ -155,10 +155,10 @@ class QueryInterface final : public pastry::PastryApp {
   [[nodiscard]] std::vector<net::SiteId> resolve_sites(const query::Query& q,
                                                        std::string& error) const;
 
-  /// Trees (canonicals) available for these predicates in this site, in
-  /// predicate order; empty optional entries mean "no tree" (minor
-  /// attribute — resolved through the taxonomy or skipped).
-  [[nodiscard]] std::vector<std::optional<std::string>> tree_canonicals(
+  /// Distinct trees (spec indices) available for these predicates, in
+  /// predicate order.  A predicate without its own tree resolves through
+  /// the taxonomy to its major's existence tree, or contributes none.
+  [[nodiscard]] std::vector<std::size_t> tree_indices(
       const std::vector<query::Predicate>& predicates) const;
 
   /// Immediate completion for queries admission sheds (no Pending entry,

@@ -74,20 +74,17 @@ bool RBayNode::is_hidden(const std::string& name) const { return hidden_.count(n
 
 // --- federation wiring ---------------------------------------------------------
 
-void RBayNode::set_tree_specs(std::shared_ptr<const std::vector<TreeSpec>> specs) {
-  tree_specs_ = std::move(specs);
-}
-
 void RBayNode::set_taxonomy(std::shared_ptr<const Taxonomy> taxonomy) {
   taxonomy_ = std::move(taxonomy);
 }
 
 void RBayNode::set_directory(std::shared_ptr<const Directory> directory) {
   directory_ = std::move(directory);
+  subscribed_.assign(tree_specs().size(), false);
 }
 
 const std::vector<TreeSpec>& RBayNode::tree_specs() const {
-  return tree_specs_ ? *tree_specs_ : kNoSpecs;
+  return directory_ ? directory_->tree_specs : kNoSpecs;
 }
 
 void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
@@ -106,49 +103,54 @@ void RBayNode::enable_monitor(std::vector<monitor::MetricSpec> metrics,
 // --- tree membership --------------------------------------------------------------
 
 scribe::TopicId RBayNode::topic_of(const TreeSpec& spec) const {
+  if (directory_ != nullptr) {
+    if (const auto index = directory_->spec_index(spec.canonical)) {
+      return directory_->topic(*index, site());
+    }
+  }
   const std::string site_name = directory_ && site() < directory_->site_names.size()
                                     ? directory_->site_names[site()]
                                     : "site" + std::to_string(site());
   return site_topic(spec.canonical, site_name);
 }
 
-bool RBayNode::store_matches(const query::Predicate& pred) const {
-  if (hidden_.count(pred.attribute) != 0) return false;
-  const auto* attr = store_.find(pred.attribute);
-  if (attr == nullptr) return false;
-  return pred.matches(attr->value());
+store::ActiveAttribute* RBayNode::matching_attribute(const query::Predicate& pred) {
+  if (hidden_.count(pred.attribute) != 0) return nullptr;
+  auto* attr = store_.find(pred.attribute);
+  if (attr == nullptr || !pred.matches(attr->value())) return nullptr;
+  return attr;
 }
 
 bool RBayNode::subscribed_to(const TreeSpec& spec) const {
-  return subscribed_canonicals_.count(spec.canonical) != 0;
+  if (directory_ == nullptr) return false;
+  const auto index = directory_->spec_index(spec.canonical);
+  return index && subscribed_to(*index);
 }
 
 std::pair<int, int> RBayNode::reevaluate_subscriptions() {
   int joins = 0;
   int leaves = 0;
-  for (const auto& spec : tree_specs()) {
-    const auto topic = topic_of(spec);
-    const bool member = scribe_.subscribed(topic);
-    const bool matches = store_matches(spec.predicate);
-    auto* attr = store_.find(spec.predicate.attribute);
-    if (!member) {
-      if (!matches) continue;
+  const auto& specs = tree_specs();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& spec = specs[i];
+    const auto& topic = directory_->topic(i, site());
+    auto* attr = matching_attribute(spec.predicate);
+    if (!scribe_.subscribed(topic)) {
       // "onSubscribe ... returns the value that determines whether joining
       // the topic tree" — the admin's policy gates exposure.
-      const bool allowed = attr == nullptr || attr->on_subscribe(admin_, spec.canonical);
-      if (allowed) {
+      if (attr != nullptr && attr->on_subscribe(admin_, spec.canonical)) {
         scribe_.subscribe(topic, this, nullptr, pastry::Scope::Site);
-        subscribed_canonicals_.insert(spec.canonical);
+        subscribed_[i] = true;
         ++joins;
       }
     } else {
-      bool leave = !matches;
-      if (!leave && attr != nullptr && attr->has_handler(store::AAEvent::kOnUnsubscribe)) {
+      bool leave = attr == nullptr;
+      if (!leave && attr->has_handler(store::AAEvent::kOnUnsubscribe)) {
         leave = attr->on_unsubscribe(admin_, spec.canonical);
       }
       if (leave) {
         scribe_.unsubscribe(topic);
-        subscribed_canonicals_.erase(spec.canonical);
+        subscribed_[i] = false;
         ++leaves;
       }
     }
@@ -233,7 +235,7 @@ bool RBayNode::on_anycast(const scribe::TopicId& /*topic*/, scribe::AnycastPaylo
 
   // (i) check the remaining predicates against the local key-value map.
   for (const auto& pred : request->predicates) {
-    if (!store_matches(pred)) return false;
+    if (matching_attribute(pred) == nullptr) return false;
   }
   // (ii) trigger the AA handlers to check the query's authorization.
   if (!authorize_get(request->predicates, request->query_id, request->get_payload)) {

@@ -77,9 +77,10 @@ class RBayNode final : public scribe::TopicMember {
   [[nodiscard]] const store::AttributeStore& attributes() const { return store_; }
 
   // --- federation wiring (done by RBayCluster) ------------------------------
-  void set_tree_specs(std::shared_ptr<const std::vector<TreeSpec>> specs);
   void set_taxonomy(std::shared_ptr<const Taxonomy> taxonomy);
   void set_directory(std::shared_ptr<const Directory> directory);
+  /// The federation's registered trees (the directory's; empty before it
+  /// is set).  Indices into this vector are the spec indices below.
   [[nodiscard]] const std::vector<TreeSpec>& tree_specs() const;
   [[nodiscard]] const Taxonomy* taxonomy() const { return taxonomy_.get(); }
   [[nodiscard]] const Directory* directory() const { return directory_.get(); }
@@ -98,7 +99,15 @@ class RBayNode final : public scribe::TopicMember {
   /// maintenance driven by the onTimer interval).
   void maintenance();
 
+  /// Membership of tree_specs()[spec] in this node's site.
+  [[nodiscard]] bool subscribed_to(std::size_t spec) const {
+    return spec < subscribed_.size() && subscribed_[spec];
+  }
+  /// Same, for any spec equal to a registered one (e.g. a copy); false for
+  /// a spec that was never registered.
   [[nodiscard]] bool subscribed_to(const TreeSpec& spec) const;
+  /// This site's TreeId of `spec`: the directory's interned id for a
+  /// registered spec, hashed on the spot only for one never registered.
   [[nodiscard]] scribe::TopicId topic_of(const TreeSpec& spec) const;
 
   // --- admin commands ---------------------------------------------------------
@@ -125,9 +134,9 @@ class RBayNode final : public scribe::TopicMember {
  private:
   friend class QueryInterface;
 
-  /// True if the local store satisfies `pred` (hidden attributes never
-  /// match; missing attributes never match).
-  [[nodiscard]] bool store_matches(const query::Predicate& pred) const;
+  /// The attribute satisfying `pred` in the local store, or nullptr
+  /// (hidden attributes never match; missing attributes never match).
+  [[nodiscard]] store::ActiveAttribute* matching_attribute(const query::Predicate& pred);
 
   /// Runs the onGet gate for every predicate attribute with a handler.
   [[nodiscard]] bool authorize_get(const std::vector<query::Predicate>& predicates,
@@ -142,11 +151,10 @@ class RBayNode final : public scribe::TopicMember {
   std::unique_ptr<monitor::ResourceMonitor> monitor_;
   RBayNodeConfig config_;
 
-  std::shared_ptr<const std::vector<TreeSpec>> tree_specs_;
   std::shared_ptr<const Taxonomy> taxonomy_;
   std::shared_ptr<const Directory> directory_;
   std::set<std::string> hidden_;
-  std::set<std::string> subscribed_canonicals_;
+  std::vector<bool> subscribed_;  // one bit per spec index
   sim::Timer maintenance_timer_;
   std::uint64_t gets_served_ = 0;
 };

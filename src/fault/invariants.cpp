@@ -57,10 +57,12 @@ InvariantReport check_tree_reachability(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& specs = cluster.tree_specs();
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& spec = specs[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = directory.topic(t, s);
       const auto tag = tree_tag(spec, site_name);
 
       std::vector<std::size_t> members;
@@ -68,7 +70,7 @@ InvariantReport check_tree_reachability(core::RBayCluster& cluster) {
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
         auto& node = cluster.node(i);
-        if (node.subscribed_to(spec)) members.push_back(i);
+        if (node.subscribed_to(t)) members.push_back(i);
         if (node.scribe().is_root_of(topic)) roots.push_back(i);
       }
       if (members.empty() && roots.empty()) continue;
@@ -119,10 +121,12 @@ InvariantReport check_child_consistency(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& specs = cluster.tree_specs();
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& spec = specs[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = directory.topic(t, s);
       const auto tag = tree_tag(spec, site_name);
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
@@ -182,17 +186,19 @@ InvariantReport check_aggregates(core::RBayCluster& cluster, double tolerance) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& specs = cluster.tree_specs();
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& spec = specs[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = directory.topic(t, s);
 
       double truth = 0.0;
       std::vector<std::size_t> roots;
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
         auto& node = cluster.node(i);
-        if (node.subscribed_to(spec)) truth += 1.0;
+        if (node.subscribed_to(t)) truth += 1.0;
         if (node.scribe().is_root_of(topic)) roots.push_back(i);
       }
       // Roll-up only has a defined ground truth under a single live root;
@@ -369,10 +375,12 @@ InvariantReport check_replicas(core::RBayCluster& cluster) {
   InvariantReport report;
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& specs = cluster.tree_specs();
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& spec = specs[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = directory.topic(t, s);
 
       std::vector<std::size_t> roots;
       for (const auto i : cluster.nodes_in_site(s)) {
@@ -419,10 +427,12 @@ InvariantReport check_fan_in(core::RBayCluster& cluster) {
   if (cap <= 0) return report;  // splitting disabled
   auto& overlay = cluster.overlay();
   const auto& directory = cluster.directory();
-  for (const auto& spec : cluster.tree_specs()) {
+  const auto& specs = cluster.tree_specs();
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& spec = specs[t];
     for (net::SiteId s = 0; s < directory.site_names.size(); ++s) {
       const auto& site_name = directory.site_names[s];
-      const auto topic = core::site_topic(spec.canonical, site_name);
+      const auto& topic = directory.topic(t, s);
       for (const auto i : cluster.nodes_in_site(s)) {
         if (overlay.is_failed(i)) continue;
         // Dead children are pruned by heartbeat repair and reported by

@@ -21,6 +21,27 @@ namespace rbay::pastry {
 /// sender's site.
 enum class Scope { Global, Site };
 
+/// An application name, interned once per process.  Envelopes carry this
+/// handle instead of the name: every hop dispatches through a per-node
+/// vector indexed by index(), and wire size still counts the name's bytes.
+/// Converts implicitly from a name, so callers may pass the string; hot
+/// senders keep an AppId to intern only once.
+class AppId {
+ public:
+  AppId(const std::string& name);  // NOLINT(google-explicit-constructor): interns
+  AppId(const char* name) : AppId(std::string(name)) {}  // NOLINT(google-explicit-constructor)
+
+  [[nodiscard]] std::size_t index() const { return entry_->index; }
+  [[nodiscard]] const std::string& name() const { return entry_->name; }
+
+ private:
+  struct Entry {
+    std::size_t index;  // dense across the process, in interning order
+    std::string name;
+  };
+  const Entry* entry_;
+};
+
 /// Base class for application-level messages carried over Pastry.
 struct AppMessage {
   virtual ~AppMessage() = default;
@@ -33,44 +54,46 @@ struct AppMessage {
 };
 
 struct RouteEnvelope final : net::Payload {
+  explicit RouteEnvelope(AppId a) : app(a) {}
+
   NodeId key;
   Scope scope = Scope::Global;
   int hops = 0;
-  std::string app;
+  AppId app;
   std::unique_ptr<AppMessage> msg;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 16 /*key*/ + 8 /*header*/ + app.size() + (msg ? msg->wire_size() : 0);
+    return 16 /*key*/ + 8 /*header*/ + app.name().size() + (msg ? msg->wire_size() : 0);
   }
   [[nodiscard]] const char* type_name() const override { return "RouteEnvelope"; }
   [[nodiscard]] std::unique_ptr<net::Payload> clone_payload() const override {
     auto inner = msg ? msg->clone_msg() : nullptr;
     if (msg && !inner) return nullptr;  // non-clonable app message
-    auto copy = std::make_unique<RouteEnvelope>();
+    auto copy = std::make_unique<RouteEnvelope>(app);
     copy->key = key;
     copy->scope = scope;
     copy->hops = hops;
-    copy->app = app;
     copy->msg = std::move(inner);
     return copy;
   }
 };
 
 struct DirectEnvelope final : net::Payload {
+  explicit DirectEnvelope(AppId a) : app(a) {}
+
   NodeRef sender;
-  std::string app;
+  AppId app;
   std::unique_ptr<AppMessage> msg;
 
   [[nodiscard]] std::size_t wire_size() const override {
-    return 24 /*sender*/ + app.size() + (msg ? msg->wire_size() : 0);
+    return 24 /*sender*/ + app.name().size() + (msg ? msg->wire_size() : 0);
   }
   [[nodiscard]] const char* type_name() const override { return "DirectEnvelope"; }
   [[nodiscard]] std::unique_ptr<net::Payload> clone_payload() const override {
     auto inner = msg ? msg->clone_msg() : nullptr;
     if (msg && !inner) return nullptr;  // non-clonable app message
-    auto copy = std::make_unique<DirectEnvelope>();
+    auto copy = std::make_unique<DirectEnvelope>(app);
     copy->sender = sender;
-    copy->app = app;
     copy->msg = std::move(inner);
     return copy;
   }

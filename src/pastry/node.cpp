@@ -1,6 +1,8 @@
 #include "pastry/node.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 
 #include "util/log.hpp"
 
@@ -43,14 +45,22 @@ void PastryNode::refresh_metrics() {
   metrics_.causal = &registry->causal();
 }
 
-void PastryNode::register_app(const std::string& app_name, PastryApp* app) {
-  RBAY_REQUIRE(app != nullptr, "register_app: app required");
-  apps_[app_name] = app;
+AppId::AppId(const std::string& name) {
+  // Entries live for the process, so handles never dangle; the lock is
+  // taken only when a name is interned, never on dispatch.
+  static std::mutex mutex;
+  static std::map<std::string, std::unique_ptr<const Entry>> entries;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& entry = entries[name];
+  if (entry == nullptr) entry = std::make_unique<const Entry>(Entry{entries.size() - 1, name});
+  entry_ = entry.get();
 }
 
-PastryApp* PastryNode::find_app(const std::string& name) {
-  auto it = apps_.find(name);
-  return it == apps_.end() ? nullptr : it->second;
+void PastryNode::register_app(const std::string& app_name, PastryApp* app) {
+  RBAY_REQUIRE(app != nullptr, "register_app: app required");
+  const AppId id(app_name);
+  if (apps_.size() <= id.index()) apps_.resize(id.index() + 1, nullptr);
+  apps_[id.index()] = app;
 }
 
 std::int64_t PastryNode::proximity_to(const NodeRef& other) const {
@@ -81,7 +91,9 @@ void PastryNode::forget(const NodeId& id) {
   if (in_leaf_set) {
     // Notify after the removal so apps querying next_hop() see the
     // post-transfer ownership of keys the dead neighbor used to cover.
-    for (auto& entry : apps_) entry.second->neighbor_failed(id);
+    for (auto* app : apps_) {
+      if (app != nullptr) app->neighbor_failed(id);
+    }
   }
 }
 
@@ -122,33 +134,31 @@ std::optional<NodeRef> PastryNode::next_hop(const NodeId& key, Scope scope) cons
   return rare_case_hop(key, scope);
 }
 
-void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg,
-                       const std::string& app_name, Scope scope) {
+void PastryNode::route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app_id,
+                       Scope scope) {
   RBAY_REQUIRE(msg != nullptr, "route: message required");
   if (auto* c = metric(&MetricsCache::routes)) c->inc();
   const auto hop = next_hop(key, scope);
   if (!hop) {
-    deliver_local(key, app_name, std::move(msg), 0);
+    deliver_local(key, app_id, std::move(msg), 0);
     return;
   }
-  if (auto* app = find_app(app_name)) {
+  if (auto* app = find_app(app_id)) {
     if (!app->forward(key, *msg, *hop)) return;
   }
-  auto env = std::make_unique<RouteEnvelope>();
+  auto env = std::make_unique<RouteEnvelope>(app_id);
   env->key = key;
   env->scope = scope;
   env->hops = 1;
-  env->app = app_name;
   env->msg = std::move(msg);
   network_.send(self_.endpoint, hop->endpoint, std::move(env));
 }
 
 void PastryNode::send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg,
-                             const std::string& app_name) {
+                             AppId app) {
   RBAY_REQUIRE(msg != nullptr, "send_direct: message required");
-  auto env = std::make_unique<DirectEnvelope>();
+  auto env = std::make_unique<DirectEnvelope>(app);
   env->sender = self_;
-  env->app = app_name;
   env->msg = std::move(msg);
   network_.send(self_.endpoint, target.endpoint, std::move(env));
 }
@@ -159,8 +169,8 @@ void PastryNode::join(const NodeRef& bootstrap) {
   network_.send(self_.endpoint, bootstrap.endpoint, std::move(req));
 }
 
-void PastryNode::deliver_local(const NodeId& key, const std::string& app_name,
-                               std::unique_ptr<AppMessage> msg, int hops) {
+void PastryNode::deliver_local(const NodeId& key, AppId app_id, std::unique_ptr<AppMessage> msg,
+                               int hops) {
   if (metric(&MetricsCache::delivers) != nullptr) {
     metrics_.delivers->inc();
     metrics_.delivery_hops->add_us(hops);
@@ -169,10 +179,10 @@ void PastryNode::deliver_local(const NodeId& key, const std::string& app_name,
     metrics_.causal->local(network_.site_of(self_.endpoint), self_.endpoint, "pastry.deliver",
                            network_.engine().now());
   }
-  if (auto* app = find_app(app_name)) {
+  if (auto* app = find_app(app_id)) {
     app->deliver(key, *msg, hops);
   } else {
-    RBAY_WARN("pastry", "no app '" << app_name << "' registered on " << self_.id.to_hex());
+    RBAY_WARN("pastry", "no app '" << app_id.name() << "' registered on " << self_.id.to_hex());
   }
 }
 
@@ -190,11 +200,10 @@ void PastryNode::handle_route(net::EndpointId /*from*/, RouteEnvelope& env) {
   if (auto* app = find_app(env.app)) {
     if (!app->forward(env.key, *env.msg, *hop)) return;
   }
-  auto next = std::make_unique<RouteEnvelope>();
+  auto next = std::make_unique<RouteEnvelope>(env.app);
   next->key = env.key;
   next->scope = env.scope;
   next->hops = env.hops + 1;
-  next->app = env.app;
   next->msg = std::move(env.msg);
   network_.send(self_.endpoint, hop->endpoint, std::move(next));
 }

@@ -9,10 +9,10 @@
 // converge on a "virtual root" inside the site (§III.E).
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "pastry/leaf_set.hpp"
@@ -75,12 +75,11 @@ class PastryNode {
   void register_app(const std::string& app_name, PastryApp* app);
 
   /// Routes `msg` toward the root of `key` within `scope`.
-  void route(const NodeId& key, std::unique_ptr<AppMessage> msg, const std::string& app_name,
+  void route(const NodeId& key, std::unique_ptr<AppMessage> msg, AppId app,
              Scope scope = Scope::Global);
 
   /// Sends directly to a known node, bypassing key routing.
-  void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg,
-                   const std::string& app_name);
+  void send_direct(const NodeRef& target, std::unique_ptr<AppMessage> msg, AppId app);
 
   /// Starts the join protocol via an existing overlay member.
   void join(const NodeRef& bootstrap);
@@ -117,9 +116,10 @@ class PastryNode {
   void handle_route(net::EndpointId from, RouteEnvelope& env);
   void handle_join_request(JoinRequest& req);
   void handle_join_reply(const JoinReply& reply);
-  void deliver_local(const NodeId& key, const std::string& app_name,
-                     std::unique_ptr<AppMessage> msg, int hops);
-  [[nodiscard]] PastryApp* find_app(const std::string& name);
+  void deliver_local(const NodeId& key, AppId app, std::unique_ptr<AppMessage> msg, int hops);
+  [[nodiscard]] PastryApp* find_app(AppId app) const {
+    return app.index() < apps_.size() ? apps_[app.index()] : nullptr;
+  }
   [[nodiscard]] std::int64_t proximity_to(const NodeRef& other) const;
   [[nodiscard]] std::optional<NodeRef> rare_case_hop(const NodeId& key, Scope scope) const;
 
@@ -152,7 +152,7 @@ class PastryNode {
   RoutingTable table_;
   LeafSet site_leaves_;
   RoutingTable site_table_;
-  std::map<std::string, PastryApp*> apps_;
+  std::vector<PastryApp*> apps_;  // by AppId::index(); nullptr: not registered
   bool joined_ = false;
   // One-shot latch for handle_join_reply.  Distinct from joined_, which any
   // learn() (e.g. a concurrent joiner's StateAnnounce) can set before our

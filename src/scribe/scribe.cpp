@@ -63,7 +63,7 @@ double combine(AggregateKind kind, double a, double b) {
 }
 
 Scribe::Scribe(pastry::PastryNode& node, ScribeConfig config) : node_(node), config_(config) {
-  node_.register_app(kAppName, this);
+  node_.register_app(kAppName.name(), this);
   auto& engine = node_.network().engine();
   if (config_.aggregation_interval > util::SimTime::zero()) {
     agg_timer_ = engine.schedule_periodic(config_.aggregation_interval,

@@ -211,7 +211,7 @@ class Scribe final : public pastry::PastryApp {
   void neighbor_failed(const pastry::NodeId& id) override;
 
   /// App name Scribe registers under.
-  static constexpr const char* kAppName = "scribe";
+  static inline const pastry::AppId kAppName{"scribe"};
 
  private:
   struct ChildState {

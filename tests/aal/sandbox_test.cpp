@@ -126,6 +126,25 @@ TEST(Sandbox, HostCanReadAndWriteGlobals) {
   EXPECT_TRUE(script.value()->global("missing").is_nil());
 }
 
+TEST(Sandbox, DestroyedScriptReleasesItsGlobals) {
+  // The handler closes over the globals that hold it; destroying the
+  // script must break that cycle, or the whole environment — including
+  // host values stored in it — is never freed.
+  auto host = std::make_shared<Table>();
+  {
+    auto script = Script::load(R"(
+AA = {NodeId = 27, Password = "3053482032"}
+function onGet(caller, pw)
+  if pw == AA.Password then return AA.NodeId end
+  return nil
+end)");
+    ASSERT_TRUE(script.ok());
+    script.value()->set_global("host", Value::table(host));
+    EXPECT_EQ(host.use_count(), 2);
+  }
+  EXPECT_EQ(host.use_count(), 1);
+}
+
 TEST(Sandbox, HasFunctionDetectsHandlers) {
   auto script = Script::load(R"(
 function onGet() return 1 end

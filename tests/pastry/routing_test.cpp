@@ -29,6 +29,49 @@ TEST(Routing, MessageReachesNumericallyClosestNode) {
   EXPECT_EQ(delivered, 50);
 }
 
+TEST(AppId, InternsEachNameOnce) {
+  const AppId a("app-id-test-one");
+  const AppId b(std::string("app-id-test-one"));
+  const AppId c("app-id-test-two");
+  EXPECT_EQ(a.index(), b.index());
+  EXPECT_NE(a.index(), c.index());
+  EXPECT_EQ(&a.name(), &b.name());
+  EXPECT_EQ(c.name(), "app-id-test-two");
+}
+
+TEST(AppId, EnvelopeWireSizeCountsTheName) {
+  // Carrying the id instead of the string must not change simulated bytes.
+  EXPECT_EQ(RouteEnvelope("rbay.query").wire_size(), 16u + 8u + 10u);
+  EXPECT_EQ(DirectEnvelope("scribe").wire_size(), 24u + 6u);
+}
+
+/// A second application beside ProbeApp: records direct-message tags.
+struct TagRecorder final : PastryApp {
+  void deliver(const NodeId& /*key*/, AppMessage& /*msg*/, int /*hops*/) override {}
+  void receive(const NodeRef& /*from*/, AppMessage& msg) override {
+    tags.push_back(dynamic_cast<testing::ProbeMsg&>(msg).tag);
+  }
+  std::vector<int> tags;
+};
+
+TEST(Routing, DispatchSeparatesAppsOnOneNode) {
+  ProbeOverlay po{net::Topology::single_site(), 8};
+  TagRecorder other;
+  po.overlay.node(3).register_app("other-app", &other);
+  auto msg = std::make_unique<testing::ProbeMsg>();
+  msg->tag = 7;
+  po.overlay.node(0).send_direct(po.overlay.node(3).self(), std::move(msg), "other-app");
+  auto probe = std::make_unique<testing::ProbeMsg>();
+  probe->tag = 8;
+  po.overlay.node(0).send_direct(po.overlay.node(3).self(), std::move(probe),
+                                 testing::ProbeApp::kName);
+  po.engine.run();
+  ASSERT_EQ(other.tags.size(), 1u);
+  EXPECT_EQ(other.tags[0], 7);
+  ASSERT_EQ(po.apps[3]->receives.size(), 1u);
+  EXPECT_EQ(po.apps[3]->receives[0].second, 8);
+}
+
 TEST(Routing, SelfRouteDeliversLocallyWithZeroHops) {
   ProbeOverlay po{net::Topology::single_site(), 16};
   const NodeId own = po.overlay.ref(3).id;

@@ -116,6 +116,19 @@ build-ci/bench/bench_fig10_latency_sites --small --json build-ci/artifacts/BENCH
 # batching, answer-cache TTL/invalidation, and the open-loop driver.
 ctest --preset ci -L qplane --output-on-failure
 
+# End-to-end correctness smoke (perfbench/README.md): one short
+# select_reserve run on the 8-site, 10k-node federation, repeated plain,
+# traced, and on 2 engine workers.  run.py exits non-zero on a wrong
+# COUNT or SELECT answer, a reservation still held after the drain, or an
+# answer digest that differs across those repetitions.  Timings are
+# printed, never gated here.
+if ! python3 perfbench/run.py --workload select_reserve --seed 7 --seconds 1 --trace 1 \
+    > build-ci/artifacts/perfbench_smoke.log 2>&1; then
+  echo "perfbench correctness smoke FAILED; transcript follows" >&2
+  cat build-ci/artifacts/perfbench_smoke.log >&2
+  exit 1
+fi
+
 # TSan lane (docs/PARALLEL_ENGINE.md): a separate thread-sanitizer build
 # runs the sharded engine for real — RBAY_SIM_THREADS=4 in the test
 # preset's environment makes every directly-constructed cluster execute
