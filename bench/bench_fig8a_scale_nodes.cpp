@@ -62,16 +62,19 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
                            std::uint64_t seed) {
   sim::EngineConfig config;
   config.threads = threads;
-  config.shard_by_site = true;
   sim::Engine engine{seed, config};
   constexpr std::size_t kSites = 16;
   pastry::Overlay overlay{engine, net::Topology::uniform(kSites, 0.5, 40.0)};
   overlay.populate(n / kSites);
   overlay.build_static();
 
-  HopRecorder recorder;
-  for (std::size_t i = 0; i < overlay.size(); ++i) {
-    overlay.node(i).register_app("q", &recorder);
+  // One recorder per site: deliveries run on their site's shard, and with
+  // several workers a shared recorder would be appended to concurrently.
+  std::vector<HopRecorder> recorders(kSites);
+  for (net::SiteId site = 0; site < kSites; ++site) {
+    for (const auto i : overlay.nodes_in_site(site)) {
+      overlay.node(i).register_app("q", &recorders[site]);
+    }
   }
 
   // Same key universe / query mix as the hop sweep, drawn from the
@@ -104,10 +107,12 @@ SweepPoint run_sweep_point(unsigned threads, std::size_t n, int queries,
   point.events_per_sec = static_cast<std::int64_t>(
       static_cast<double>(point.events) /
       (static_cast<double>(std::max<std::int64_t>(wall.count(), 1)) / 1000.0));
-  for (const double hops : recorder.hop_samples.values()) {
-    point.hop_sum += static_cast<std::uint64_t>(hops);
+  for (const auto& recorder : recorders) {
+    for (const double hops : recorder.hop_samples.values()) {
+      point.hop_sum += static_cast<std::uint64_t>(hops);
+    }
+    point.deliveries += recorder.hop_samples.count();
   }
-  point.deliveries = recorder.hop_samples.count();
   return point;
 }
 

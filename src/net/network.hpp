@@ -77,8 +77,8 @@ class Network {
  public:
   using Handler = std::function<void(Envelope)>;
 
-  /// On a sharded engine, construction also fixes the shard topology (one
-  /// shard per site), computes the conservative cross-shard lookahead from
+  /// Construction also fixes the engine's shard topology (one shard per
+  /// site), computes the conservative cross-shard lookahead from
   /// the minimum cross-site one-way delay, and registers a run-start hook
   /// that refreshes metric caches and pre-sizes the causal flight rings —
   /// none of which may happen mid-window.
@@ -177,15 +177,14 @@ class Network {
                          std::shared_ptr<std::unique_ptr<Payload>> box, std::size_t size,
                          util::SimTime delay, obs::TraceContext trace);
 
-  /// The NetworkStats cell of the calling execution slot.  Serial engine:
-  /// always the single cell — the historical counters, unchanged.
+  /// The NetworkStats cell of the calling execution slot.
   [[nodiscard]] NetworkStats& live_stats() {
     const std::uint32_t slot = obs::exec_slot().index;
     return slot_stats_[slot < slot_stats_.size() ? slot : 0];
   }
   [[nodiscard]] std::uint64_t next_send_seq();
-  /// Derives the sharded engine's lookahead: the minimum cross-site one-way
-  /// delay shrunk by the jitter floor.  No-op on a serial engine.
+  /// Derives the engine's lookahead: the minimum cross-site one-way delay
+  /// shrunk by the jitter floor.
   void update_lookahead();
 
   sim::Engine& engine_;
@@ -195,9 +194,8 @@ class Network {
   double drop_probability_ = 0.0;
   double jitter_ = 0.1;
   LinkConditioner conditioner_;
-  std::uint64_t send_seq_ = 0;            // serial: the historical counter
-  std::vector<std::uint64_t> slot_seq_;   // sharded: per-slot counters
-  std::vector<NetworkStats> slot_stats_{1};
+  std::vector<std::uint64_t> slot_seq_;  // per-slot send counters
+  std::vector<NetworkStats> slot_stats_;
   mutable NetworkStats merged_stats_;
   MetricsCache metrics_;
 };

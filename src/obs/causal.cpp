@@ -262,7 +262,7 @@ void CausalLog::record(CausalEvent ev) {
   // Flight ring first: it sees every event, traced or not.
   bool ring_ok = ev.endpoint < rings_.size();
   if (!ring_ok && stride_ == 1) {
-    rings_.resize(ev.endpoint + 1);  // serial: grow on demand, as always
+    rings_.resize(ev.endpoint + 1);  // one slot: grow on demand
     ring_ok = true;
   }
   if (ring_ok) {

@@ -7,8 +7,8 @@
 //
 //   * Ambient context.  "The context of the code currently running" is one
 //     TraceContext slot per *execution slot* (obs/exec_slot.hpp): the
-//     serial engine only ever uses slot 0; the sharded engine gives every
-//     site shard its own ambient slot, since shards execute handlers
+//     engine gives control and every site shard its own ambient slot,
+//     since shards execute handlers
 //     concurrently.  The network sets it (via ContextScope) around every
 //     delivery handler; trace roots and timer continuations set it
 //     explicitly.  on_send()/local() mint child spans of whatever is
@@ -32,8 +32,8 @@
 //
 // Determinism: timestamps are sim-time; span/trace ids are minted from
 // per-slot counters strided by the slot count (slot k mints k+1, k+1+S,
-// ...), so ids are a pure function of (seed, shard) — the serial engine
-// has stride 1 and mints the exact historical sequence 1, 2, 3, ...
+// ...), so ids are a pure function of (seed, shard) — a log never given
+// slots has stride 1 and mints 1, 2, 3, ...
 
 #include <atomic>
 #include <cstdint>
@@ -95,8 +95,8 @@ class CausalLog {
 
   // --- sharding ----------------------------------------------------------
   /// Declares the execution-slot count (site shards + control).  Called by
-  /// a sharded engine before its first run, while only slot 0 has state.
-  /// The serial engine never calls it: one slot, stride 1, historical ids.
+  /// the engine before its first run, while only slot 0 has state.  Never
+  /// called: one slot, stride 1.
   void set_slots(std::uint32_t slots);
   /// Pre-sizes the flight-ring vector (sharded runs must not grow it from
   /// inside a window; see the flight-recorder note above).
@@ -152,10 +152,10 @@ class CausalLog {
   [[nodiscard]] std::string dump_flight(std::uint32_t endpoint) const;
 
   // --- access ------------------------------------------------------------
-  /// All traced events in canonical order.  Serial engine: the slot-0 log,
-  /// zero-copy.  Sharded: a snapshot-time merge of the per-slot logs,
+  /// All traced events in canonical order.  One slot: the slot-0 log,
+  /// zero-copy.  Several: a snapshot-time merge of the per-slot logs,
   /// ordered by (at, slot, intra-slot index) and cached until new events
-  /// arrive.  Snapshot-time only when sharded.
+  /// arrive.  Snapshot-time only with several slots.
   [[nodiscard]] const std::vector<CausalEvent>& events() const;
   [[nodiscard]] std::vector<const CausalEvent*> trace_events(std::uint64_t trace_id) const;
   [[nodiscard]] std::uint64_t dropped() const;
@@ -207,7 +207,7 @@ class CausalLog {
   util::StripedMap<std::string, std::uint64_t> by_query_;
   std::atomic<std::size_t> trace_count_{0};
   std::vector<FlightRing> rings_;  // indexed by endpoint; grown on demand
-                                   // (serial) or pre-sized (sharded)
+                                   // (one slot) or pre-sized (several)
   std::size_t flight_capacity_ = kDefaultFlightCapacity;
   Counter* events_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;

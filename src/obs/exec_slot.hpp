@@ -11,9 +11,9 @@
 // shards never touch shared mutable state and snapshots can merge the
 // cells deterministically.
 //
-// In the classic serial engine nothing ever changes the slot: index stays
-// 0 and every cell-indexed structure degenerates to its single slot-0
-// cell, byte-identical to the pre-sharding behavior.
+// Outside engine events, and on an engine without site shards, the slot
+// is 0 and every cell-indexed structure degenerates to its single slot-0
+// cell.
 
 #include <cstdint>
 

@@ -29,8 +29,9 @@
 //     cached handles keep hot paths lock-free.  Ordered iteration and
 //     to_json() are snapshot-time operations: they run at barriers or
 //     after the run, when no shard is writing.
-// The serial engine never moves off slot 0, so every structure collapses
-// to its slot-0 cell and behaves byte-for-byte as before.
+// A registry no engine declared slots to (no Network, so no site shards)
+// never moves off slot 0, and every structure collapses to its slot-0
+// cell.
 
 #include <atomic>
 #include <cstdint>
@@ -48,7 +49,7 @@ namespace rbay::obs {
 namespace detail {
 
 /// Lazily-allocated per-slot cells for slots 1..kMaxExecSlots-1 (slot 0 is
-/// inline in the instrument, so the serial engine never allocates).  The
+/// inline in the instrument, so a slot-0-only run never allocates).  The
 /// block is installed with a CAS: concurrent first writers race benignly.
 template <typename CellT>
 struct CellBlock {
@@ -114,8 +115,8 @@ class Gauge {
   [[nodiscard]] std::int64_t value() const {
     std::int64_t best = 0;
     std::int64_t best_stamp = -1;
-    // Ascending slot order, ties won by the later slot: the serial sharded
-    // schedule processes higher shards later within an equal-time window.
+    // Ascending slot order, ties won by the later slot: one worker
+    // processes higher shards later within an equal-time window.
     scan([&](const Cell& c) {
       if (c.written && c.stamp_us >= best_stamp) {
         best = c.value;
@@ -306,8 +307,8 @@ class Registry {
   [[nodiscard]] const CausalLog& causal_log() const { return causal_; }
 
   /// Declares how many execution slots the attached engine uses (site
-  /// shards + control).  Called by a sharded engine before its first run;
-  /// the serial engine never calls it and everything stays on slot 0.
+  /// shards + control).  Called by the engine once it has site shards;
+  /// until then everything stays on slot 0.
   void set_exec_slots(std::uint32_t slots);
 
   /// Full snapshot: {"federation": {...}, "sites": {...}, "nodes": {...},

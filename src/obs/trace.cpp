@@ -69,8 +69,8 @@ void Tracer::end_span(const std::string& query_id, Phase phase, util::SimTime no
   traces_.with(query_id, [&](QueryTrace& trace) {
     // Pair with the calling slot's own open span: several site gateways
     // trace into one query id concurrently, and "most recent" across slots
-    // would depend on append interleaving.  Serial engine: slot is always
-    // 0, so this is the historical most-recent-open rule.
+    // would depend on append interleaving.  With one slot this is the
+    // plain most-recent-open rule.
     for (auto it = trace.spans.rbegin(); it != trace.spans.rend(); ++it) {
       if (it->phase == phase && it->end == kOpenEnd && it->slot == slot) {
         it->end = now;

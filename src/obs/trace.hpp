@@ -94,10 +94,9 @@ struct QueryTrace {
 /// dependent): spans/events are tagged with their execution slot,
 /// begin/end pairing and finish-time closing are per-slot, and
 /// write_json() orders each trace's spans by (start, slot, per-slot
-/// append order) whenever set_slots() declared a sharded run.  The serial
-/// engine never calls set_slots(): single-slot traces serialize in plain
-/// append order, byte-identical to the classic tracer.  One visible
-/// sharded-only difference: a span abandoned on a *remote* slot (site
+/// append order) whenever set_slots() declared several slots.  Without
+/// set_slots(), single-slot traces serialize in plain append order.  One
+/// visible several-slot difference: a span abandoned on a *remote* slot (site
 /// timed out mid-anycast) stays open and renders zero-length instead of
 /// being force-closed at finish time — closing it from the origin shard
 /// would be a cross-slot last-writer race.
@@ -105,8 +104,8 @@ class Tracer {
  public:
   static constexpr std::size_t kMaxTraces = 4096;
 
-  /// Declares the execution-slot count of a sharded run (site shards +
-  /// control).  Serial engines never call it.
+  /// Declares the execution-slot count of a run (site shards + control).
+  /// Never called: one slot.
   void set_slots(std::uint32_t slots) { sharded_ = slots > 1; }
 
   void begin_query(const std::string& query_id, util::SimTime now);

@@ -168,7 +168,8 @@ struct SizeReplyMsg final : pastry::AppMessage {
   TopicId topic;
   std::uint64_t request_id = 0;
   double size = 0.0;
-  /// Monotone per-root replication epoch of the answering root's view.
+  /// Replication epoch (`term << 32 | round`) of the answering root's
+  /// view; monotone across failovers.
   std::uint64_t epoch = 0;
   /// Degraded read: the answer is a replicated pre-failover snapshot,
   /// `age` sim-time old (always ≤ the root's `max_staleness`).
@@ -225,6 +226,22 @@ struct RootReplicaMsg final : pastry::AppMessage {
   [[nodiscard]] const char* type_name() const override { return "scribe.RootReplica"; }
   [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
     return std::make_unique<RootReplicaMsg>(*this);
+  }
+};
+
+/// Replica holder → a root whose snapshot it rejected as older than the
+/// replica it holds.  A late copy from the root's own older round makes
+/// this a no-op; a root still in an older term than the holder's replica
+/// (a recovered ex-root that reclaimed the tree from a promoted successor)
+/// starts a term above `epoch`.
+struct ReplicaBehindMsg final : pastry::AppMessage {
+  TopicId topic;
+  std::uint64_t epoch = 0;
+
+  [[nodiscard]] std::size_t wire_size() const override { return 24; }
+  [[nodiscard]] const char* type_name() const override { return "scribe.ReplicaBehind"; }
+  [[nodiscard]] std::unique_ptr<pastry::AppMessage> clone_msg() const override {
+    return std::make_unique<ReplicaBehindMsg>(*this);
   }
 };
 

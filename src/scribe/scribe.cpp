@@ -10,6 +10,21 @@ namespace rbay::scribe {
 
 namespace {
 
+/// Epochs are `term << 32 | round` in one integer, so every comparison and
+/// the wire field stay plain uint64_t.  The first epoch of the term after
+/// `epoch`'s: a promoted root resumes there, strictly above every round
+/// the old term reached (2^32 rounds is over a decade at 100ms).
+std::uint64_t term_after(std::uint64_t epoch) {
+  constexpr int kRoundBits = 32;
+  return ((epoch >> kRoundBits) + 1) << kRoundBits;
+}
+
+/// A root that learns of an epoch above its own (a successor was promoted
+/// while it was down) resumes in the term after that epoch's.
+void catch_up_term(std::uint64_t& epoch, std::uint64_t seen) {
+  if (seen > epoch) epoch = term_after(seen);
+}
+
 /// Federation scope of the engine-attached registry, or nullptr when
 /// observability is off.  Scribe operations are per-query / per-round (not
 /// per-message), so a map lookup at the call site is affordable and no
@@ -553,6 +568,9 @@ void Scribe::replicate_roots() {
   const auto now = node_.network().engine().now();
   for (auto& [topic, st] : topics_) {
     if (!st.root || (!st.member && st.children.empty())) continue;
+    if (auto r = replicas_.find(topic); r != replicas_.end()) {
+      catch_up_term(st.epoch, r->second.epoch);
+    }
     ++st.epoch;
     // While degraded, replicate the snapshot we are actually serving so a
     // chained failover inherits the same (value, age) view.
@@ -614,9 +632,17 @@ void Scribe::replicate_roots() {
   }
 }
 
-void Scribe::handle_replica(const RootReplicaMsg& msg) {
+void Scribe::handle_replica(const NodeRef& from, const RootReplicaMsg& msg) {
   auto& rep = replicas_[msg.topic];
-  if (msg.epoch < rep.epoch) return;  // late copy from an older round
+  if (msg.epoch < rep.epoch) {
+    // A late copy from an older round, or a root in an older term than
+    // this replica's: tell the sender, which starts a new term if behind.
+    auto behind = std::make_unique<ReplicaBehindMsg>();
+    behind->topic = msg.topic;
+    behind->epoch = rep.epoch;
+    node_.send_direct(from, std::move(behind), kAppName);
+    return;
+  }
   rep.epoch = msg.epoch;
   rep.agg_kind = msg.agg_kind;
   rep.scope = msg.scope;
@@ -663,9 +689,10 @@ void Scribe::promote_from_replica(const TopicId& topic, ReplicaState replica) {
   st.parent.reset();
   st.scope = replica.scope;
   st.agg_kind = replica.agg_kind;
-  // Epoch carries over monotonically: probes crossing the failover never
-  // see it regress.
-  st.epoch = std::max(st.epoch, replica.epoch);
+  // A new term: the dead root may have served rounds past the replica's
+  // (its last snapshot still in flight), and answer caches reject any
+  // epoch below one they hold.
+  st.epoch = term_after(std::max(st.epoch, replica.epoch));
   st.degraded = true;
   st.stale_value = replica.value;
   st.stale_at = replica.snapshot_time;
@@ -1280,7 +1307,12 @@ void Scribe::receive(const NodeRef& from, pastry::AppMessage& msg) {
     return;
   }
   if (auto* replica = dynamic_cast<RootReplicaMsg*>(&msg)) {
-    handle_replica(*replica);
+    handle_replica(from, *replica);
+    return;
+  }
+  if (auto* behind = dynamic_cast<ReplicaBehindMsg*>(&msg)) {
+    auto* st = find_topic(behind->topic);
+    if (st != nullptr && st->root) catch_up_term(st->epoch, behind->epoch);
     return;
   }
   if (auto* delegate = dynamic_cast<DelegateMsg*>(&msg)) {

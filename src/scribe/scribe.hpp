@@ -122,8 +122,8 @@ class Scribe final : public pastry::PastryApp {
 
   /// A root's answer to a size probe.  `stale` marks a degraded read: a
   /// freshly promoted root serving the last replicated snapshot, `age`
-  /// sim-time old.  `epoch` is the root's replication epoch — it never
-  /// moves backwards across a failover.
+  /// sim-time old.  `epoch` is the root's replication epoch — it only
+  /// moves forwards, across a failover too.
   struct SizeInfo {
     double value = 0.0;
     std::uint64_t epoch = 0;
@@ -232,8 +232,12 @@ class Scribe final : public pastry::PastryApp {
     double own_value = 0.0;
     util::SimTime last_parent_beat = util::SimTime::zero();
     std::function<void()> on_joined;
-    /// Replication epoch while root: bumped every replication round,
-    /// carried over (max) on promotion so probes never see it regress.
+    /// Replication epoch while root, `term << 32 | round`: the round is
+    /// bumped every replication round, and promotion starts a new term, so
+    /// the new root's epoch is above anything the dead root served even
+    /// when its last snapshot was still in flight.  A root that learns of
+    /// a newer term (a replica it holds, or a holder's ReplicaBehindMsg —
+    /// a successor was promoted while it was down) starts a term above.
     std::uint64_t epoch = 0;
     /// Promoted-root repair window: serve `stale_value` (snapshotted at
     /// `stale_at`) until the subtree reports afresh or staleness exceeds
@@ -306,7 +310,7 @@ class Scribe final : public pastry::PastryApp {
   void rejoin(const TopicId& topic);
   [[nodiscard]] double subtree_value(const TopicId& topic, const TopicState& st) const;
   void replicate_roots();
-  void handle_replica(const RootReplicaMsg& msg);
+  void handle_replica(const NodeRef& from, const RootReplicaMsg& msg);
   void promotion_check();
   void promote_from_replica(const TopicId& topic, ReplicaState replica);
   void on_anycast_deadline(std::uint64_t request_id);

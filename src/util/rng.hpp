@@ -116,13 +116,11 @@ class Rng {
   Rng fork() { return Rng{next_u64()}; }
 
   /// Derives the `stream_id`-th independent stream of `seed` *without*
-  /// consuming state from any live generator.  The sharded engine seeds
-  /// shard s's generator with stream(seed, s), so the draw sequence each
-  /// shard sees is a pure function of (seed, shard) — independent of how
-  /// many worker threads execute the shards or in what order.
-  /// stream(seed, 0) is deliberately distinct from Rng(seed): the control
-  /// shard keeps the legacy Rng(seed) stream so setup draws match the
-  /// serial engine exactly.
+  /// consuming state from any live generator.  The engine seeds site shard
+  /// s's generator with stream(seed, s), so the draw sequence each shard
+  /// sees is a pure function of (seed, shard) — independent of how many
+  /// worker threads execute the shards or in what order.  The control
+  /// shard uses plain Rng(seed), which stream(seed, 0) deliberately is not.
   static Rng stream(std::uint64_t seed, std::uint64_t stream_id) {
     SplitMix64 a{seed};
     SplitMix64 b{stream_id ^ 0xD1B54A32D192ED03ULL};

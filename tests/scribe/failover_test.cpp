@@ -98,6 +98,55 @@ TEST(Failover, RootCrashPromotesReplicaHolderServingTheStaleSnapshot) {
   EXPECT_DOUBLE_EQ(info.value, 23.0);
 }
 
+TEST(Failover, RootCrashInsideReplicationWindowPromotesIntoANewTerm) {
+  // Crash the root right after it starts a replication round: it already
+  // answers probes at the new epoch, but the snapshots carrying that epoch
+  // are still in flight.  The promoted successor holds only the previous
+  // round, so resuming at max(own, replica) would put it one epoch behind
+  // answers the dead root served — and epoch-gated answer caches would
+  // then reject every answer the new root gives.
+  ScribeOverlay so{24, net::Topology::single_site(), failover_config()};
+  const TopicId topic = pastry::tree_id("GPU", "admin");
+  so.subscribe_all(topic);
+  so.engine.run_for(SimTime::seconds(2));
+
+  const auto root = so.overlay.root_of(topic);
+  const auto epoch_start = so.scribes[root]->root_epoch_of(topic);
+  ASSERT_GT(epoch_start, 0u);
+  while (so.scribes[root]->root_epoch_of(topic) == epoch_start) {
+    so.engine.run_for(SimTime::micros(50));  // well under the 225us delay floor
+  }
+  const auto served = so.scribes[root]->root_epoch_of(topic);
+  std::size_t holders = 0;
+  for (std::size_t i = 0; i < so.overlay.size(); ++i) {
+    if (i == root || so.scribes[i]->replica_of(topic) == nullptr) continue;
+    ++holders;
+    ASSERT_LT(so.scribes[i]->replica_of(topic)->epoch, served)
+        << "the crash must land inside the replication window";
+  }
+  ASSERT_GE(holders, 1u);
+
+  so.overlay.fail_node(root);
+  so.engine.run();
+  const auto promoted = live_root(so, topic);
+  ASSERT_NE(promoted, SIZE_MAX);
+  ASSERT_NE(promoted, root);
+  EXPECT_GT(so.scribes[promoted]->root_epoch_of(topic), served);
+
+  std::size_t prober = 0;
+  while (prober == root || prober == promoted) ++prober;
+  Scribe::SizeInfo info;
+  bool done = false;
+  so.scribes[prober]->probe_size(topic, [&](const Scribe::SizeInfo& i) {
+    info = i;
+    done = true;
+  });
+  so.engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(info.stale);
+  EXPECT_GT(info.epoch, served) << "a cache holding the dead root's answer must accept this one";
+}
+
 TEST(Failover, AnycastDeadlineRetriesOnceThenReportsMiss) {
   auto cfg = failover_config();
   cfg.heartbeat_interval = SimTime::zero();  // no prune/rejoin noise

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <vector>
 
@@ -16,42 +17,28 @@ namespace {
 
 using util::SimTime;
 
-EngineConfig sharded_config(unsigned threads) {
+EngineConfig engine_config(unsigned threads) {
   EngineConfig config;
   config.threads = threads;
-  config.shard_by_site = true;
   return config;
 }
 
 TEST(EngineConfig, FromEnvReadsThreadsAndSharding) {
   ::unsetenv("RBAY_SIM_THREADS");
-  ::unsetenv("RBAY_SIM_SHARDED");
   EXPECT_EQ(EngineConfig::from_env().threads, 1u);
-  EXPECT_FALSE(EngineConfig::from_env().sharded());
 
   ::setenv("RBAY_SIM_THREADS", "4", 1);
   EXPECT_EQ(EngineConfig::from_env().threads, 4u);
-  EXPECT_TRUE(EngineConfig::from_env().sharded());
 
-  ::setenv("RBAY_SIM_THREADS", "1", 1);
-  EXPECT_FALSE(EngineConfig::from_env().sharded());
-  ::setenv("RBAY_SIM_SHARDED", "1", 1);
-  EXPECT_TRUE(EngineConfig::from_env().sharded());
+  ::setenv("RBAY_SIM_THREADS", "0", 1);  // not a worker count: default kept
+  EXPECT_EQ(EngineConfig::from_env().threads, 1u);
 
   ::unsetenv("RBAY_SIM_THREADS");
-  ::unsetenv("RBAY_SIM_SHARDED");
-}
-
-TEST(ShardedEngine, SerialEngineIsNotSharded) {
-  Engine engine{7};
-  EXPECT_FALSE(engine.sharded());
-  EXPECT_EQ(engine.shard_count(), 1u);
-  EXPECT_EQ(engine.shard_for_site(3), 0u);
 }
 
 TEST(ShardedEngine, TopologyIsIdempotentButFixed) {
-  Engine engine{7, sharded_config(1)};
-  EXPECT_TRUE(engine.sharded());
+  Engine engine{7, engine_config(1)};
+  EXPECT_EQ(engine.shard_count(), 1u);  // control alone until sites are declared
   engine.configure_shards(4);
   EXPECT_EQ(engine.shard_count(), 5u);  // 4 sites + control
   EXPECT_EQ(engine.shard_for_site(2), 3u);
@@ -59,13 +46,8 @@ TEST(ShardedEngine, TopologyIsIdempotentButFixed) {
   EXPECT_THROW(engine.configure_shards(5), util::ContractError);
 }
 
-TEST(ShardedEngine, StepIsForbidden) {
-  Engine engine{7, sharded_config(1)};
-  EXPECT_THROW(engine.step(), util::ContractError);
-}
-
 TEST(ShardedEngine, ControlEventsRunAndQuiesce) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   std::vector<int> order;
   engine.schedule(SimTime::millis(20), [&] { order.push_back(2); });
@@ -76,7 +58,7 @@ TEST(ShardedEngine, ControlEventsRunAndQuiesce) {
 }
 
 TEST(ShardedEngine, ShardScopePinsSetupTimers) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   std::uint32_t seen_shard = 99;
   {
@@ -88,7 +70,7 @@ TEST(ShardedEngine, ShardScopePinsSetupTimers) {
 }
 
 TEST(ShardedEngine, CrossShardScheduleRespectsLookahead) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   engine.set_cross_shard_lookahead(SimTime::millis(5));
   std::vector<std::uint32_t> shards;
@@ -106,7 +88,7 @@ TEST(ShardedEngine, CrossShardScheduleRespectsLookahead) {
 }
 
 TEST(ShardedEngine, LookaheadViolationIsAContractError) {
-  Engine engine{7, sharded_config(1)};
+  Engine engine{7, engine_config(1)};
   engine.configure_shards(2);
   engine.set_cross_shard_lookahead(SimTime::millis(5));
   // Force a window: two site shards with pending work, then a cross-shard
@@ -131,24 +113,25 @@ TEST(ShardedEngine, LookaheadViolationIsAContractError) {
 TEST(ShardedEngine, ControlActsAsBarrierBetweenSiteEvents) {
   // A control event between two batches of site events must observe all
   // site work before it and none after it.
-  Engine engine{7, sharded_config(4)};
+  Engine engine{7, engine_config(4)};
   engine.configure_shards(4);
   engine.set_cross_shard_lookahead(SimTime::millis(1));
-  int site_events = 0;
+  // Site events run on four workers at once, so the shared count is atomic.
+  std::atomic<int> site_events{0};
   int seen_at_barrier = -1;
   for (std::uint32_t site = 0; site < 4; ++site) {
     Engine::ShardScope scope(engine, engine.shard_for_site(site));
     engine.schedule(SimTime::millis(1), [&] { ++site_events; });
     engine.schedule(SimTime::millis(20), [&] { ++site_events; });
   }
-  engine.schedule(SimTime::millis(10), [&] { seen_at_barrier = site_events; });
+  engine.schedule(SimTime::millis(10), [&] { seen_at_barrier = site_events.load(); });
   engine.run();
   EXPECT_EQ(seen_at_barrier, 4);
-  EXPECT_EQ(site_events, 8);
+  EXPECT_EQ(site_events.load(), 8);
 }
 
 TEST(ShardedEngine, PerShardClocksAndRngStreams) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   engine.set_cross_shard_lookahead(SimTime::millis(1));
   std::uint64_t draw_a = 0;
@@ -168,7 +151,7 @@ TEST(ShardedEngine, PerShardClocksAndRngStreams) {
 }
 
 TEST(ShardedEngine, CancelReleasesForegroundAcrossRuns) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   bool fired = false;
   Timer timer;
@@ -183,7 +166,7 @@ TEST(ShardedEngine, CancelReleasesForegroundAcrossRuns) {
 }
 
 TEST(ShardedEngine, SiteEventMayCancelControlTimer) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   engine.set_cross_shard_lookahead(SimTime::millis(1));
   bool control_fired = false;
@@ -195,7 +178,7 @@ TEST(ShardedEngine, SiteEventMayCancelControlTimer) {
 }
 
 TEST(ShardedEngine, RunUntilAdvancesEveryShardClock) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   int fired = 0;
   {
@@ -211,7 +194,7 @@ TEST(ShardedEngine, RunUntilAdvancesEveryShardClock) {
 }
 
 TEST(ShardedEngine, PeriodicTimersStayOnTheirShard) {
-  Engine engine{7, sharded_config(2)};
+  Engine engine{7, engine_config(2)};
   engine.configure_shards(2);
   engine.set_cross_shard_lookahead(SimTime::millis(1));
   std::vector<std::uint32_t> shards;
@@ -234,23 +217,59 @@ TEST(ShardedEngine, PeriodicTimersStayOnTheirShard) {
 // the one window spinning forever — this test hung before windows were
 // bounded by the fixed no-lookahead quantum.
 TEST(ShardedEngine, QuiescesWithPeriodicTimersAndNoLookahead) {
-  Engine engine{7, sharded_config(1)};
+  Engine engine{7, engine_config(1)};
   engine.configure_shards(1);  // single site: lookahead stays unset
   int ticks = 0;
   int fired = 0;
+  SimTime last_event = SimTime::zero();
   {
     Engine::ShardScope scope(engine, engine.shard_for_site(0));
-    engine.schedule_periodic(SimTime::millis(10), [&] { ++ticks; });
-    engine.schedule(SimTime::millis(250), [&] { ++fired; });
+    engine.schedule_periodic(SimTime::millis(10), [&] {
+      ++ticks;
+      last_event = engine.now();
+    });
+    engine.schedule(SimTime::millis(250), [&] {
+      ++fired;
+      last_event = engine.now();
+    });
   }
   engine.run();  // must terminate once the one foreground event drains
   EXPECT_EQ(fired, 1);
   EXPECT_GE(ticks, 25);
-  // run_for measures from the caller's (control) clock, which no control
-  // event ever advanced: the deadline is an absolute 1s, so the periodic
-  // timer lands exactly 100 firings regardless of the quiescence overshoot.
-  engine.run_for(SimTime::seconds(1));  // must stop at the deadline
-  EXPECT_EQ(ticks, 100);
+  // The quiescence overshoot runs background ticks to the end of the last
+  // window; afterwards now() is the last executed event's time.
+  EXPECT_EQ(engine.now(), last_event);
+  EXPECT_EQ(engine.now(), SimTime::millis(10) * ticks);
+  const int ticks_at_quiescence = ticks;
+  engine.run_for(SimTime::seconds(1));  // must stop exactly 1s later
+  EXPECT_EQ(engine.now(), last_event);
+  EXPECT_EQ(ticks, ticks_at_quiescence + 100);
+}
+
+// After run() every shard clock reads the last executed event's time, so
+// now() outside events is one clock: a site event at 1s leaves now() at 1s,
+// and a later +10ms setup-time schedule fires at 1.010s on that site's
+// shard instead of at 10ms, behind the clock it already reached.
+TEST(ShardedEngine, RunLeavesOneClockAtTheLastEvent) {
+  Engine engine{7, engine_config(1)};
+  engine.configure_shards(2);
+  engine.set_cross_shard_lookahead(SimTime::millis(5));
+  const std::uint32_t site = engine.shard_for_site(1);
+  {
+    Engine::ShardScope scope(engine, site);
+    engine.schedule(SimTime::seconds(1), [] {});
+  }
+  engine.run();
+  EXPECT_EQ(engine.now(), SimTime::seconds(1));
+
+  SimTime fired_at = SimTime::zero();
+  {
+    Engine::ShardScope scope(engine, site);
+    engine.schedule(SimTime::millis(10), [&] { fired_at = engine.now(); });
+  }
+  engine.run();
+  EXPECT_EQ(fired_at, SimTime::millis(1010));
+  EXPECT_EQ(engine.now(), SimTime::millis(1010));
 }
 
 // The core determinism property at engine level: the same seed produces the
@@ -264,7 +283,7 @@ TEST(ShardedEngine, ScheduleIsIdenticalAcrossWorkerCounts) {
     bool operator==(const Obs&) const = default;
   };
   const auto run_once = [](unsigned threads) {
-    Engine engine{1234, sharded_config(threads)};
+    Engine engine{1234, engine_config(threads)};
     engine.configure_shards(4);
     engine.set_cross_shard_lookahead(SimTime::millis(2));
     // One log per shard: each is appended only by its owner, and the

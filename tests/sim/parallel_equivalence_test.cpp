@@ -1,13 +1,12 @@
-// Serial-equivalence determinism matrix for the sharded engine
-// (docs/PARALLEL_ENGINE.md).
+// Worker-count determinism matrix for the engine (docs/PARALLEL_ENGINE.md).
 //
-// Contract: a federation run on the sharded schedule produces the SAME
-// bytes — final registry snapshot, time-series JSON, and query/output
-// transcript — no matter how many worker threads execute it.  The
-// reference is threads=1 on the sharded schedule (the same per-shard
-// event sequences executed serially); 2, 4, and 8 workers must match it
-// byte for byte across an eight-seed matrix of a churn + weather + query
-// workload.
+// Contract: a federation run produces the SAME bytes — final registry
+// snapshot, time-series JSON, and query/output transcript — no matter how
+// many worker threads execute it.  The reference is threads=1 (the same
+// per-shard event sequences executed by one thread); 2, 4, and 8 workers
+// must match it byte for byte across an eight-seed matrix of a churn +
+// weather + query workload, and 4 workers must match it on every shipped
+// scenario in scenarios/.
 //
 // This is the load-bearing test of the parallel engine: any data race or
 // interleaving-dependent ordering in the windowed executor shows up here
@@ -17,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,6 @@ ScenarioOptions engine_options(unsigned threads) {
   ScenarioOptions options;
   options.metrics = true;
   options.engine.threads = threads;
-  options.engine.shard_by_site = true;  // same schedule at every thread count
   return options;
 }
 
@@ -115,11 +115,30 @@ TEST(ParallelEquivalence, RepeatedShardedRunsAreByteIdentical) {
   EXPECT_EQ(a.value().timeseries_json, b.value().timeseries_json);
 }
 
+TEST(ParallelEquivalence, ShippedScenariosAreByteIdenticalAcrossThreadCounts) {
+  for (const char* name : {"chaos_churn", "chaos_root_crash", "flash_crowd", "geo_federation",
+                           "gray_wan", "health_watch", "hot_tree", "marketplace"}) {
+    SCOPED_TRACE(name);
+    std::ifstream file{std::string(RBAY_SCENARIO_DIR) + "/" + name + ".rbay"};
+    ASSERT_TRUE(file) << "cannot open scenario " << name;
+    std::ostringstream text;
+    text << file.rdbuf();
+    const auto one = run_scenario(text.str(), engine_options(1));
+    const auto four = run_scenario(text.str(), engine_options(4));
+    ASSERT_TRUE(one.ok()) << one.error();
+    ASSERT_TRUE(four.ok()) << four.error();
+    ASSERT_FALSE(one.value().output.empty());
+    EXPECT_EQ(four.value().output, one.value().output);
+    EXPECT_EQ(four.value().metrics_json, one.value().metrics_json);
+    EXPECT_EQ(four.value().timeseries_json, one.value().timeseries_json);
+  }
+}
+
 TEST(ParallelEquivalence, ThreadsDirectiveSelectsTheShardedEngine) {
   // `threads N` in the scenario text takes effect (and wins over the
   // options default).  The run must still satisfy its expectations.
   std::string text = "threads 4\n" + workload(29);
-  const auto report = run_scenario(text);  // default options: serial engine
+  const auto report = run_scenario(text);  // default options: one worker
   ASSERT_TRUE(report.ok()) << report.error();
   EXPECT_EQ(report.value().queries_satisfied, 3);
 }

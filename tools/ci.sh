@@ -184,13 +184,26 @@ fi
 # per-query forward share at least 2x versus the uncapped run (the bench
 # itself already fails if any answer differs between the two), and the
 # balanced share must never regress more than 10% against the previously
-# archived copy.
+# archived copy.  The bench runs in the full configuration the committed
+# baseline was measured with (1000 Zipf queries; about 1 s optimized), and
+# the gate refuses to compare runs whose query counts differ: a --small
+# run's share is not comparable to a full run's.
 PREV_HOT=""
+PREV_ZIPF=""
 if [ -f build-ci/artifacts/BENCH_fig8b.json ]; then
   PREV_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
       build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
+  PREV_ZIPF="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
+      build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
 fi
-build-ci/bench/bench_fig8b_scale_queries --small --json build-ci/artifacts/BENCH_fig8b.json
+build-ci/bench/bench_fig8b_scale_queries --json build-ci/artifacts/BENCH_fig8b.json
+NEW_ZIPF="$(sed -n 's/.*"zipf_queries":\([0-9][0-9]*\).*/\1/p' \
+    build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
+if [ -n "$PREV_HOT" ] && [ "$PREV_ZIPF" != "$NEW_ZIPF" ]; then
+  echo "hot-tree gate: previous copy ran ${PREV_ZIPF:-?} Zipf queries, this run ${NEW_ZIPF:-?};" \
+       "refusing to compare (remove the stale archived BENCH_fig8b.json)" >&2
+  exit 1
+fi
 UNCAPPED_HOT="$(sed -n 's/.*"zipf_uncapped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \
     build-ci/artifacts/BENCH_fig8b.json | head -n 1)"
 CAPPED_HOT="$(sed -n 's/.*"zipf_capped_hottest_bp":\([0-9][0-9]*\).*/\1/p' \

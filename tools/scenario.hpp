@@ -27,9 +27,9 @@
 // Directives (a <target> is `*`, a site name, or `<site>:<i>` addressing
 // the site's i-th node — the form counterexample exports use):
 //   topology ec2 | single | uniform <sites> <intra_ms> <cross_ms>
-//   threads N                       run on the sharded engine with N worker
-//                                   threads (before 'nodes'; 1 = serial —
-//                                   see docs/PARALLEL_ENGINE.md)
+//   threads N                       run the engine on N worker threads
+//                                   (before 'nodes'; the output is the
+//                                   same at any N — docs/PARALLEL_ENGINE.md)
 //   seed N | aggregation MS | heartbeat MS | max-attempts N
 //   site-timeout MS | reservation-hold MS
 //   admission-window N [queue]     in-flight query budget (+FIFO backlog)
@@ -130,10 +130,10 @@ struct ScenarioOptions {
   /// Export the causal log as Chrome trace-event JSON into
   /// ScenarioReport::trace_json (implies metrics).
   bool trace = false;
-  /// Simulation execution mode (docs/PARALLEL_ENGINE.md).  The default is
-  /// the serial engine — NOT EngineConfig::from_env() — because shipped
-  /// scenarios pin legacy serial transcripts; opt in per run (equivalence
-  /// matrix) or per scenario (`threads N` directive / `--threads N` flag).
+  /// Engine configuration (docs/PARALLEL_ENGINE.md).  Deliberately
+  /// EngineConfig{} rather than EngineConfig::from_env(): a scenario's
+  /// worker count comes from its caller (`--threads N`) or its own
+  /// `threads N` directive, never from the environment.
   sim::EngineConfig engine{};
 };
 // ScenarioReport::timeseries_json is filled whenever the scenario declares
